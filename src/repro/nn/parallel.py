@@ -45,6 +45,22 @@ class _Flags(threading.local):
 _flags = _Flags()
 
 
+def _reset_after_fork() -> None:
+    """Drop the parent's pool in a forked child.
+
+    A fork copies the executor object but none of its threads, so a
+    child submitting to it would wait forever; the child rebuilds its
+    own pool lazily instead (and gets a fresh, unheld lock).
+    """
+    global _pool, _lock
+    _pool = None
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
 def _default_threads() -> int:
     env = os.environ.get("REPRO_THREADS")
     if env is not None:

@@ -66,7 +66,6 @@ from repro.runtime.trace import (
 from repro.runtime.shm import ShmChannel, ShmRing, SlotExhausted
 from repro.runtime.transport import (
     Channel,
-    FrameAssembler,
     TransportClosed,
     decode_message,
     encode_message,
@@ -83,7 +82,6 @@ __all__ = [
     "EVENT_KINDS",
     "FaultInjector",
     "FaultSchedule",
-    "FrameAssembler",
     "Hello",
     "InProcTransport",
     "PipelineSession",

@@ -1,4 +1,4 @@
-"""Coordinator: drives a plan on real worker processes.
+"""Process-backed transports and the distributed pipeline front door.
 
 Implements the paper's Fig. 6 workflow over the shared runtime core.
 The plan is compiled once into a :class:`~repro.runtime.program.PlanProgram`
@@ -19,30 +19,29 @@ and :class:`~repro.serve.server.PipelineServer` drive real processes
 through the exact ``configure() → open()`` flow they use for the
 in-process and simulated backends, fault ladder and tracing included.
 
-:class:`DistributedPipeline` keeps frames from *different* stages in
-flight concurrently.  Since this refactor it is event-driven: a single
-``selectors`` control loop owns every worker socket, dispatches each
-stage's tiles, collects results as they arrive, and advances frames
-stage to stage — no thread-per-stage blocking recv.  Stage compute
-still happens in the worker processes; the loop only moves
-control-plane bytes (and, on the TCP transport, tensor frames).
+:class:`DistributedPipeline` is a thin adapter over that flow: a
+:class:`~repro.serve.server.PipelineServer` with block admission, whose
+per-stage threads run :func:`~repro.runtime.core.execute_stage` against
+the stage's workers, so frames from *different* stages are in flight
+concurrently.  Stage compute happens in the worker processes.
 
-Worker failure recovery (extension): if a worker dies mid-task, the
-transport redistributes its strip among the survivors
-(capacity-weighted), ships them new tile programs via
+Worker failure recovery (extension): a lost worker surfaces as
+:class:`~repro.runtime.faults.DeviceDead`.  With a
+:class:`~repro.runtime.faults.RuntimeConfig` the shared fault ladder
+repairs the stage — the transport redistributes the lost strip among
+the survivors (capacity-weighted), ships them new tile programs via
 :class:`Reconfigure`, and the frame replays from that stage boundary.
+Without one the frame fails, and so does every later frame reaching the
+broken stage.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
-import selectors
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,17 +49,8 @@ import numpy as np
 from repro.core.plan import PipelinePlan
 from repro.models.graph import Model
 from repro.nn.executor import Engine
-from repro.nn.tiles import compile_block_paths_cached, compile_segment_cached
 from repro.nn.weights import Weights, init_weights
-from repro.partition.branches import concat_channel_blocks
-from repro.partition.regions import Region
-from repro.partition.strips import weighted_partition
-from repro.runtime.core import (
-    StageTrace,
-    TaskTiming,
-    Transport,
-    emit_stage_trace,
-)
+from repro.runtime.core import StageTrace, TaskTiming, Transport
 from repro.runtime.faults import DeviceDead, RuntimeConfig, StageFailure
 from repro.runtime.messages import (
     Hello,
@@ -76,13 +66,12 @@ from repro.runtime.program import (
     PlanProgram,
     TaskSpec,
     compile_plan,
-    split_stage,
-    stitch_stage,
+    repartition_stage,
     task_weight_names,
 )
 from repro.runtime.shm import ShmChannel, ShmRing
-from repro.runtime.trace import TraceEvent, Tracer, coerce_tracer
-from repro.runtime.transport import Channel, TransportClosed
+from repro.runtime.trace import coerce_tracer
+from repro.runtime.transport import Channel
 from repro.runtime.worker import worker_main
 
 # StageFailure moved to repro.runtime.faults; re-exported here for the
@@ -94,8 +83,6 @@ __all__ = [
     "StageFailure",
     "TcpTransport",
 ]
-
-_SENTINEL = object()
 
 
 @dataclass
@@ -126,9 +113,6 @@ class _WorkerHandle:
     stage_index: int
     channel: Optional[Channel] = None
     alive: bool = True
-    #: Set when a repartition left the (healthy) worker with no work —
-    #: distinguishes "idled" from "connection lost" for the event loop.
-    retired: bool = False
 
 
 class TcpTransport(Transport):
@@ -142,7 +126,9 @@ class TcpTransport(Transport):
     workers and gathers :class:`TileResult` frames; a lost worker
     surfaces as :class:`~repro.runtime.faults.DeviceDead`, which the
     shared fault ladder repairs via :meth:`repartition` (per-stage
-    epochs discard stale results).
+    epochs discard stale results).  Until a stage is repartitioned,
+    every run of it raises ``DeviceDead`` again: the survivors alone
+    would leave the lost worker's part of the output map unfilled.
     """
 
     name = "tcp"
@@ -165,6 +151,9 @@ class TcpTransport(Transport):
         self.stats_lock = stats_lock if stats_lock is not None else threading.Lock()
         self.fail_after = dict(fail_after or {})
         self.connect_timeout_s = connect_timeout_s
+        #: Every launched worker (for teardown), and per stage the
+        #: workers whose tasks make up its current task set.
+        self._workers: "List[_WorkerHandle]" = []
         self._handles: "List[List[_WorkerHandle]]" = []
         self._epochs: "List[int]" = []
         self._clock_epoch = time.perf_counter()
@@ -248,10 +237,11 @@ class TcpTransport(Transport):
                     _WorkerHandle(worker_id, process, task, stage.index)
                 )
                 worker_id += 1
-            self.bind_stage(stage.index, handles)
+            self._workers.extend(handles)
+            self._handles.append(handles)
 
         # Accept connections and match them to handles via Hello.
-        by_id = {h.worker_id: h for h in self.all_handles()}
+        by_id = {h.worker_id: h for h in self._workers}
         try:
             for _ in range(len(by_id)):
                 conn, _addr = listener.accept()
@@ -266,7 +256,7 @@ class TcpTransport(Transport):
         # Transport-specific channel upgrade (the shm backend attaches
         # its rings here), then ship setups: each worker gets its
         # compiled program plus the weights its segment touches.
-        for handle in self.all_handles():
+        for handle in self._workers:
             handle.channel = self._wrap_channel(handle)
         for stage in program.stages:
             if stage.branch:
@@ -282,12 +272,12 @@ class TcpTransport(Transport):
                     for name, params in self.weights.items()
                     if name in block_names
                 }
-                for handle in self.alive_handles(stage.index):
+                for handle in self._handles[stage.index]:
                     handle.channel.send(
                         Setup(self.model, handle.task.program, subset)
                     )
                 continue
-            for handle in self.alive_handles(stage.index):
+            for handle in self._handles[stage.index]:
                 names = task_weight_names(handle.task.program)
                 subset = {
                     name: params
@@ -303,7 +293,7 @@ class TcpTransport(Transport):
         # weight shipping never trips the timeout).
         if self._config is not None:
             if self._config.recv_timeout_s is not None:
-                for handle in self.all_handles():
+                for handle in self._workers:
                     handle.channel.settimeout(self._config.recv_timeout_s)
             self.start_heartbeat(self._config.heartbeat_interval_s)
 
@@ -316,8 +306,8 @@ class TcpTransport(Transport):
         """Probe worker-process liveness every ``interval_s`` seconds.
 
         The monitor never mutates handles directly — it only flags
-        worker ids in a pending set, which the driving loop/threads
-        apply (mark dead + repartition) at the next frame boundary.
+        worker ids in a pending set, which each stage's driving thread
+        applies (mark dead + repartition) before its next attempt.
         That keeps channel use and repartitioning where the epoch
         protocol already makes them safe.
         """
@@ -328,7 +318,7 @@ class TcpTransport(Transport):
         def probe() -> None:
             while not self._monitor_stop.wait(interval_s):
                 with self._pending_lock:
-                    for handle in self.all_handles():
+                    for handle in self._workers:
                         if handle.alive and not handle.process.is_alive():
                             self._pending_dead.add(handle.worker_id)
 
@@ -343,8 +333,14 @@ class TcpTransport(Transport):
             self._monitor.join(timeout=5.0)
             self._monitor = None
 
-    def apply_heartbeats(self, stage_index: int) -> bool:
-        """Mark this stage's monitor-flagged workers dead; True if any."""
+    def needs_repartition(self, stage_index: int) -> bool:
+        """Mark this stage's monitor-flagged workers dead; True if any.
+
+        A stage needs repair when the heartbeat flagged one of *its*
+        workers.  (The base-class check keys on dead device *names*,
+        which here would keep firing for every stage hosting a same-name
+        worker whose own process is perfectly healthy.)
+        """
         with self._pending_lock:
             if not self._pending_dead:
                 return False
@@ -358,29 +354,8 @@ class TcpTransport(Transport):
                 self._pending_dead.discard(h.worker_id)
         return bool(flagged)
 
-    def needs_repartition(self, stage_index: int) -> bool:
-        """A stage needs repair when the heartbeat flagged one of *its*
-        workers.  (The base-class check keys on dead device *names*,
-        which here would keep firing for every stage hosting a same-name
-        worker whose own process is perfectly healthy.)"""
-        return self.apply_heartbeats(stage_index)
-
-    def bind_stage(self, stage_index: int, handles: "List[_WorkerHandle]") -> None:
-        while len(self._handles) <= stage_index:
-            self._handles.append([])
-        self._handles[stage_index] = handles
-
-    def alive_handles(self, stage_index: int) -> "List[_WorkerHandle]":
-        return [h for h in self._handles[stage_index] if h.alive]
-
     def stage_tasks(self, stage_index: int) -> "Tuple[TaskSpec, ...]":
-        handles = self.alive_handles(stage_index)
-        if not handles:
-            raise StageFailure(f"stage {stage_index}: no workers left")
-        return tuple(h.task for h in handles)
-
-    def stage_epoch(self, stage_index: int) -> int:
-        return self._epochs[stage_index]
+        return tuple(h.task for h in self._handles[stage_index])
 
     def run_tasks(
         self,
@@ -388,7 +363,14 @@ class TcpTransport(Transport):
         tiles: "Sequence[np.ndarray]",
         frame: int,
     ) -> "Tuple[List[np.ndarray], StageTrace]":
-        handles = self.alive_handles(stage_index)
+        handles = self._handles[stage_index]
+        for handle in handles:
+            if not handle.alive:
+                raise DeviceDead(
+                    handle.task.device_name,
+                    f"worker {handle.worker_id} lost; stage {stage_index} "
+                    "is not repartitioned",
+                )
         epoch = self._epochs[stage_index]
         entry = self._now()
         send_spans = []
@@ -409,7 +391,7 @@ class TcpTransport(Transport):
             while True:
                 try:
                     message = handle.channel.recv()
-                except TransportClosed:
+                except OSError:  # includes TransportClosed / resets
                     handle.alive = False
                     raise DeviceDead(
                         handle.task.device_name,
@@ -456,86 +438,32 @@ class TcpTransport(Transport):
         shm backend copies the one case where a slot view would escape)."""
         return outs
 
-    # ------------------------------------------------------------------
     def repartition(self, stage_index: int) -> None:
-        """Redistribute the stage partition over surviving workers."""
-        survivors = self.alive_handles(stage_index)
-        if not survivors:
-            raise StageFailure(f"stage {stage_index}: no workers left")
+        """Re-split the stage capacity-weighted over its surviving workers.
+
+        The ``"rebalance"`` policy of
+        :func:`~repro.runtime.program.repartition_stage` (each worker
+        holds a single tile program); survivors get their new programs
+        via :class:`Reconfigure`, and one left without work stays up,
+        idle, until :meth:`close`.
+        """
+        handles = self._handles[stage_index]
+        current = replace(
+            self._program.stages[stage_index],
+            tasks=tuple(h.task for h in handles),
+        )
+        dead = [h.task.device_name for h in handles if not h.alive]
+        # StageFailure when no worker survives.
+        rebuilt = repartition_stage(self.model, current, dead, "rebalance")
+        by_device = {h.task.device_name: h for h in handles if h.alive}
         self._epochs[stage_index] += 1
-        stage = self._program.stages[stage_index]
-        if stage.branch:
-            from repro.partition.branches import assign_paths_lpt, path_flops
-
-            weights = path_flops(self.model, stage.start)
-            groups = assign_paths_lpt(
-                weights, [h.task.capacity for h in survivors]
-            )
-            for handle, group in zip(survivors, groups):
-                if not group:
-                    handle.alive = False  # healthy, just out of work
-                    handle.retired = True
-                    continue
-                program = compile_block_paths_cached(
-                    self.model, stage.start, tuple(sorted(group))
-                )
-                handle.task = TaskSpec(
-                    handle.task.device_name,
-                    handle.task.capacity,
-                    program,
-                    None,
-                    tuple(concat_channel_blocks(self.model, stage.start, group)),
-                    tuple(sorted(group)),
-                )
-                handle.channel.send(Reconfigure(program))
-            with self.stats_lock:
-                self.stats.recoveries += 1
-            return
-        if stage.channel:
-            from repro.nn.tiles import compile_channel_slice_cached
-
-            c_out = stage.out_shape[0]
-            slices = weighted_partition(
-                c_out, [hd.task.capacity for hd in survivors]
-            )
-            for handle, iv in zip(survivors, slices):
-                if iv.end <= iv.start:
-                    handle.alive = False  # nothing left for it to do
-                    handle.retired = True
-                    continue
-                program = compile_channel_slice_cached(
-                    self.model, stage.start, iv.start, iv.end
-                )
-                handle.task = TaskSpec(
-                    handle.task.device_name,
-                    handle.task.capacity,
-                    program,
-                    None,
-                    ((0, iv.end - iv.start, iv.start, iv.end),),
-                )
-                handle.channel.send(Reconfigure(program))
-            with self.stats_lock:
-                self.stats.recoveries += 1
-            return
-        _, h, w = stage.out_shape
-        rows = weighted_partition(h, [hd.task.capacity for hd in survivors])
-        for handle, iv in zip(survivors, rows):
-            region = Region.from_bounds(iv.start, iv.end, 0, w)
-            if region.empty:
-                handle.alive = False  # nothing left for it to do
-                handle.retired = True
-                continue
-            program = compile_segment_cached(
-                self.model, stage.start, stage.end, region
-            )
-            handle.task = TaskSpec(
-                handle.task.device_name,
-                handle.task.capacity,
-                program,
-                region,
-                None,
-            )
-            handle.channel.send(Reconfigure(program))
+        kept = []
+        for task in rebuilt.tasks:
+            handle = by_device[task.device_name]
+            handle.task = task
+            handle.channel.send(Reconfigure(task.program))
+            kept.append(handle)
+        self._handles[stage_index] = kept
         with self.stats_lock:
             self.stats.recoveries += 1
 
@@ -545,22 +473,19 @@ class TcpTransport(Transport):
             "(workers hold compiled segments); restart the pipeline instead"
         )
 
-    def all_handles(self) -> "List[_WorkerHandle]":
-        return [h for handles in self._handles for h in handles]
-
     def close(self) -> None:
         if self._torn_down:
             return
         self._torn_down = True
         self.stop_heartbeat()
-        for handle in self.all_handles():
+        for handle in self._workers:
             if handle.channel is not None:
                 try:
                     handle.channel.send(Shutdown())
-                except (TransportClosed, OSError):
+                except OSError:  # includes TransportClosed
                     pass
                 handle.channel.close()
-        for handle in self.all_handles():
+        for handle in self._workers:
             handle.process.join(timeout=10.0)
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -691,325 +616,6 @@ class ShmTransport(TcpTransport):
             ring.destroy()
 
 
-@dataclass
-class _InFlight:
-    """One frame being served by one stage, driven by the event loop."""
-
-    frame: int
-    x: np.ndarray
-    tasks: "Tuple[TaskSpec, ...]"
-    tiles: "List[np.ndarray]"
-    epoch: int
-    entry: float
-    deadline: Optional[float]
-    send_spans: "List[Tuple[float, float]]" = field(default_factory=list)
-    pos: "Dict[int, int]" = field(default_factory=dict)
-    outs: "List[Optional[np.ndarray]]" = field(default_factory=list)
-    timings: "List[Optional[TaskTiming]]" = field(default_factory=list)
-    filled: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.filled == len(self.tasks)
-
-
-class _EventLoop(threading.Thread):
-    """The single ``selectors``-driven control loop of the coordinator.
-
-    Owns every worker socket (non-blocking) plus a self-pipe for
-    submissions and shutdown.  Each stage serves one frame at a time
-    (FIFO per stage, matching the old thread-per-stage semantics) while
-    different stages overlap freely; results are collected as they
-    arrive — no blocking recv anywhere, so one thread drives every
-    in-flight frame.  Worker death (EOF, heartbeat flag, recv deadline)
-    triggers the same repartition-and-replay recovery the fault ladder
-    performs on the session path, guarded by the per-stage epochs.
-    """
-
-    def __init__(
-        self,
-        program: PlanProgram,
-        transport: TcpTransport,
-        recover: bool,
-        tracer: Optional[Tracer],
-    ) -> None:
-        super().__init__(name="coordinator", daemon=True)
-        self.program = program
-        self.transport = transport
-        self.recover = recover
-        self.tracer = tracer
-        self.results: "queue.Queue" = queue.Queue()
-        self.error: Optional[BaseException] = None
-        self._sel = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._lock = threading.Lock()
-        self._submissions: "deque" = deque()
-        self._stopping = False
-        n = program.n_stages
-        self._queues: "List[deque]" = [deque() for _ in range(n)]
-        self._busy: "List[Optional[_InFlight]]" = [None] * n
-        self._registered: "Dict[int, _WorkerHandle]" = {}
-
-    # -- cross-thread interface ----------------------------------------
-    def submit(self, frame: int, x: np.ndarray) -> None:
-        with self._lock:
-            self._submissions.append((frame, x))
-        self._wake()
-
-    def shutdown(self) -> None:
-        with self._lock:
-            self._stopping = True
-        self._wake()
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass
-
-    # -- loop body ------------------------------------------------------
-    def run(self) -> None:
-        try:
-            self._sel.register(self._wake_r, selectors.EVENT_READ, None)
-            for handle in self.transport.all_handles():
-                if handle.alive and handle.channel is not None:
-                    handle.channel.set_nonblocking()
-                    self._sel.register(
-                        handle.channel.sock, selectors.EVENT_READ, handle
-                    )
-                    self._registered[handle.worker_id] = handle
-            while True:
-                self._drain_submissions()
-                self._dispatch_ready()
-                if self._stopping and self._idle():
-                    return
-                for key, _events in self._sel.select(self._tick_timeout()):
-                    if key.data is None:
-                        self._drain_wake()
-                    else:
-                        self._service(key.data)
-                self._apply_heartbeats()
-                self._check_deadlines()
-        except BaseException as exc:  # surfaced at collect()
-            self.error = exc
-        finally:
-            self.results.put(_SENTINEL)
-            try:
-                self._sel.close()
-            except OSError:
-                pass
-            self._wake_r.close()
-            self._wake_w.close()
-
-    def _idle(self) -> bool:
-        with self._lock:
-            if self._submissions:
-                return False
-        return all(b is None for b in self._busy) and not any(self._queues)
-
-    def _tick_timeout(self) -> "Optional[float]":
-        config = self.transport.config
-        timeout = config.heartbeat_interval_s if config is not None else None
-        deadlines = [
-            b.deadline for b in self._busy if b is not None and b.deadline
-        ]
-        if deadlines:
-            now = self.transport.clock()
-            nearest = max(0.0, min(deadlines) - now)
-            timeout = nearest if timeout is None else min(timeout, nearest)
-        return timeout
-
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
-
-    def _drain_submissions(self) -> None:
-        with self._lock:
-            items, self._submissions = self._submissions, deque()
-        self._queues[0].extend(items)
-
-    def _dispatch_ready(self) -> None:
-        for stage_index in range(self.program.n_stages):
-            if self._busy[stage_index] is None and self._queues[stage_index]:
-                frame, x = self._queues[stage_index].popleft()
-                self._dispatch(stage_index, frame, x)
-
-    def _dispatch(self, stage_index: int, frame: int, x: np.ndarray) -> None:
-        transport = self.transport
-        tasks = transport.stage_tasks(stage_index)  # StageFailure if none
-        tiles = split_stage(tasks, x)
-        handles = transport.alive_handles(stage_index)
-        config = transport.config
-        entry = transport.clock()
-        deadline = (
-            entry + config.recv_timeout_s
-            if config is not None and config.recv_timeout_s is not None
-            else None
-        )
-        inflight = _InFlight(
-            frame, x, tasks, tiles,
-            transport.stage_epoch(stage_index), entry, deadline,
-            outs=[None] * len(tasks), timings=[None] * len(tasks),
-        )
-        self._busy[stage_index] = inflight
-        for i, (handle, tile) in enumerate(zip(handles, tiles)):
-            t0 = transport.clock()
-            try:
-                handle.channel.send(TileTask(frame, tile, inflight.epoch))
-            except OSError:
-                # _worker_lost repartitions and re-dispatches this very
-                # frame with a fresh task set; abandon this attempt.
-                self._worker_lost(handle)
-                return
-            inflight.send_spans.append((t0, transport.clock()))
-            inflight.pos[handle.worker_id] = i
-
-    def _service(self, handle: _WorkerHandle) -> None:
-        try:
-            messages = handle.channel.recv_ready()
-        except TransportClosed:
-            self._worker_lost(handle)
-            return
-        for message in messages:
-            self._on_message(handle, message)
-
-    def _on_message(self, handle: _WorkerHandle, message) -> None:
-        if isinstance(message, WorkerError):
-            raise RuntimeError(
-                f"worker {message.worker_id} failed task "
-                f"{message.task_id}: {message.message}"
-            )
-        if not isinstance(message, TileResult):
-            raise RuntimeError(
-                f"unexpected {type(message).__name__} from worker "
-                f"{handle.worker_id}"
-            )
-        stage_index = handle.stage_index
-        transport = self.transport
-        inflight = self._busy[stage_index]
-        if (
-            inflight is None
-            or message.epoch < transport.stage_epoch(stage_index)
-            or message.task_id != inflight.frame
-        ):
-            return  # stale result from before a repartition/replay
-        i = inflight.pos.get(handle.worker_id)
-        if i is None or inflight.outs[i] is not None:
-            return
-        recv_end = transport.clock()
-        span = inflight.send_spans[i]
-        inflight.outs[i] = message.tile
-        inflight.timings[i] = TaskTiming(
-            send=span,
-            compute=(max(span[1], recv_end - message.compute_s), recv_end),
-            recv=(recv_end, recv_end),
-        )
-        inflight.filled += 1
-        with transport.stats_lock:
-            transport.stats.worker_compute_s[handle.worker_id] = (
-                transport.stats.worker_compute_s.get(handle.worker_id, 0.0)
-                + message.compute_s
-            )
-        if inflight.complete:
-            self._complete(stage_index, inflight)
-
-    def _complete(self, stage_index: int, inflight: _InFlight) -> None:
-        transport = self.transport
-        outs = transport.materialise_outputs(
-            stage_index, inflight.tasks, list(inflight.outs)
-        )
-        st = StageTrace(
-            inflight.entry,
-            inflight.entry,
-            transport.clock(),
-            tuple(inflight.timings),
-        )
-        emit_stage_trace(
-            self.tracer, (inflight.frame,), stage_index,
-            inflight.tasks, inflight.tiles, outs, st,
-        )
-        out = stitch_stage(
-            transport.current_stage(stage_index), inflight.tasks, outs
-        )
-        self._busy[stage_index] = None
-        if stage_index + 1 < self.program.n_stages:
-            self._queues[stage_index + 1].append((inflight.frame, out))
-        else:
-            self.results.put((inflight.frame, out))
-
-    # -- failure handling ----------------------------------------------
-    def _worker_lost(self, handle: _WorkerHandle) -> None:
-        stage_index = handle.stage_index
-        handle.alive = False
-        if self._registered.pop(handle.worker_id, None) is not None:
-            try:
-                self._sel.unregister(handle.channel.sock)
-            except (KeyError, ValueError, OSError):
-                pass
-        if not self.recover:
-            raise StageFailure(
-                f"stage {stage_index}: worker connection lost"
-            )
-        transport = self.transport
-        if transport.mark_dead(handle.task.device_name) and self.tracer:
-            now = transport.clock()
-            self.tracer.emit(
-                TraceEvent(
-                    "device_dead", self._current_frame(stage_index),
-                    stage_index, handle.task.device_name, now, now,
-                )
-            )
-        transport.repartition(stage_index)  # StageFailure when none left
-        inflight, self._busy[stage_index] = self._busy[stage_index], None
-        if inflight is not None:
-            if self.tracer:
-                now = transport.clock()
-                self.tracer.emit(
-                    TraceEvent(
-                        "frame_replayed", inflight.frame, stage_index,
-                        handle.task.device_name, now, now,
-                    )
-                )
-            self._dispatch(stage_index, inflight.frame, inflight.x)
-
-    def _current_frame(self, stage_index: int) -> int:
-        inflight = self._busy[stage_index]
-        return inflight.frame if inflight is not None else -1
-
-    def _apply_heartbeats(self) -> None:
-        if self.transport.config is None:
-            return
-        for stage_index in range(self.program.n_stages):
-            self.transport.apply_heartbeats(stage_index)
-        lost = [
-            h for h in list(self._registered.values())
-            if not h.alive and not h.retired
-        ]
-        for handle in lost:
-            self._worker_lost(handle)
-
-    def _check_deadlines(self) -> None:
-        now = self.transport.clock()
-        for stage_index, inflight in enumerate(self._busy):
-            if inflight is None or inflight.deadline is None:
-                continue
-            if now <= inflight.deadline:
-                continue
-            # Declare the slowest missing worker dead; recovery
-            # re-dispatches with a fresh deadline for the survivors.
-            for handle in list(self._registered.values()):
-                if handle.stage_index != stage_index or not handle.alive:
-                    continue
-                i = inflight.pos.get(handle.worker_id)
-                if i is not None and inflight.outs[i] is None:
-                    self._worker_lost(handle)
-                    break
-
-
 class DistributedPipeline:
     """Execute a :class:`PipelinePlan` on real OS processes.
 
@@ -1020,8 +626,10 @@ class DistributedPipeline:
 
     ``transport`` selects the tensor plane: ``"tcp"`` (framed sockets)
     or ``"shm"`` (shared-memory slot rings, zero-copy on the same
-    host).  Either way a single event-driven control loop coordinates
-    every stage's worker processes.
+    host).  Either way :meth:`start` opens a
+    :class:`~repro.serve.server.PipelineServer` over the transport with
+    block admission, and :meth:`run_batch` serves frames through its
+    per-stage threads.
 
     ``trace`` follows the shared contract (``Tracer | bool | None``,
     see :func:`~repro.runtime.trace.coerce_tracer`): per-frame
@@ -1031,8 +639,10 @@ class DistributedPipeline:
 
     A :class:`~repro.runtime.faults.RuntimeConfig` turns on the fault
     tolerance layer: heartbeat probing of worker processes, recv
-    timeouts on worker channels, worker idle timeouts, and recovery
-    (``config.recover`` supersedes the legacy ``recover`` flag).
+    timeouts on worker channels, worker idle timeouts, and recovery.
+    ``recover=True`` without a config uses the default
+    :class:`~repro.runtime.faults.RuntimeConfig`; a given config
+    supersedes the flag.
     """
 
     def __init__(
@@ -1052,12 +662,10 @@ class DistributedPipeline:
         self.plan = plan
         self.program = compile_plan(model, plan)
         self.weights = weights if weights is not None else init_weights(model, seed)
+        if config is None and recover:
+            config = RuntimeConfig()
         self.config = config
-        self.recover = config.recover if config is not None else recover
-        self.fail_after = fail_after or {}
-        self.connect_timeout_s = connect_timeout_s
         self.stats = RuntimeStats()
-        self._stats_lock = threading.Lock()
         self._engine = Engine(model, self.weights)
         self._tracer = coerce_tracer(trace)
         transports = {"tcp": TcpTransport, "shm": ShmTransport}
@@ -1069,18 +677,10 @@ class DistributedPipeline:
             model,
             self.weights,
             stats=self.stats,
-            stats_lock=self._stats_lock,
-            fail_after=self.fail_after,
+            fail_after=fail_after,
             connect_timeout_s=connect_timeout_s,
         )
-        if config is not None:
-            self.transport.configure(config)
-        self._loop: "Optional[_EventLoop]" = None
-        self._submit_times: "Dict[int, float]" = {}
-        self._next_task = 0
-        self._started = False
-        self._closed = False
-        self._first_submit: Optional[float] = None
+        self._server = None
 
     @property
     def trace(self):
@@ -1089,71 +689,55 @@ class DistributedPipeline:
 
     # ------------------------------------------------------------------
     def start(self) -> "DistributedPipeline":
-        if self._started:
-            return self
-        self.transport.open(self.program)
-        self._loop = _EventLoop(
-            self.program, self.transport, self.recover, self._tracer
-        )
-        self._loop.start()
-        self._started = True
+        """Launch the workers (idempotent)."""
+        if self._server is None:
+            # Lazy: repro.serve.server imports the runtime package.
+            from repro.serve.server import PipelineServer, ServerConfig
+
+            self._server = PipelineServer(
+                self.program,
+                self.transport,
+                ServerConfig(policy="block"),
+                tracer=self._tracer,
+                runtime_config=self.config,
+            )
         return self
 
-    # ------------------------------------------------------------------
-    def submit(self, x: np.ndarray) -> int:
-        """Feed one input; returns its task id."""
-        if not self._started:
-            raise RuntimeError("pipeline not started")
-        if x.shape != self.model.input_shape:
-            raise ValueError(
-                f"input shape {x.shape} != model input {self.model.input_shape}"
-            )
-        task_id = self._next_task
-        self._next_task += 1
-        now = time.perf_counter()
-        if self._first_submit is None:
-            self._first_submit = now
-        self._submit_times[task_id] = now
-        self._loop.submit(task_id, np.ascontiguousarray(x, dtype=np.float32))
-        return task_id
-
-    def collect(self, timeout_s: float = 120.0) -> Tuple[int, np.ndarray]:
-        """Fetch one completed (task_id, output) from the final stage."""
-        item = self._loop.results.get(timeout=timeout_s)
-        if item is _SENTINEL:
-            self._loop.results.put(_SENTINEL)  # keep later collects failing
-            if self._loop.error is not None:
-                raise self._loop.error
-            raise RuntimeError("pipeline terminated unexpectedly")
-        task_id, features = item
-        now = time.perf_counter()
-        with self._stats_lock:
-            self.stats.latencies.append(now - self._submit_times.pop(task_id))
-            if self._first_submit is not None:
-                self.stats.makespan = now - self._first_submit
-        output = self._engine.run_head(features) if self.model.head else features
-        return task_id, output
-
     def run_batch(
-        self, inputs: "Sequence[np.ndarray]", timeout_s: float = 120.0
+        self, inputs: "Sequence[np.ndarray]"
     ) -> Tuple[List[np.ndarray], RuntimeStats]:
-        """Submit every input, gather every output (in submit order)."""
-        ids = [self.submit(x) for x in inputs]
-        outputs: "Dict[int, np.ndarray]" = {}
-        for _ in ids:
-            task_id, out = self.collect(timeout_s)
-            outputs[task_id] = out
-        return [outputs[i] for i in ids], self.stats
+        """Serve every input; outputs come back in submit order.
+
+        Raises :class:`StageFailure` naming the frames that failed (a
+        stage lost a worker it could not recover from) and the first
+        failure's reason.
+        """
+        if self._server is None:
+            raise RuntimeError("pipeline not started")
+        for x in inputs:
+            if x.shape != self.model.input_shape:
+                raise ValueError(
+                    f"input shape {x.shape} != model input "
+                    f"{self.model.input_shape}"
+                )
+        result = self._server.serve(list(inputs))
+        failed = result.failed
+        if failed:
+            raise StageFailure(
+                f"frames {[r.frame for r in failed]} failed; frame "
+                f"{failed[0].frame}: {failed[0].error}"
+            )
+        self.stats.latencies.extend(result.sojourns)
+        self.stats.makespan += result.makespan
+        outputs = [result.outputs[i] for i in range(len(inputs))]
+        if self.model.head:
+            outputs = [self._engine.run_head(y) for y in outputs]
+        return outputs, self.stats
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._started:
-            self._loop.shutdown()
-            self._loop.join(timeout=10.0)
-            self.transport.close()
+        if self._server is not None:
+            self._server.close()
 
     def __enter__(self) -> "DistributedPipeline":
         return self.start()

@@ -441,9 +441,8 @@ def emit_stage_trace(
 ) -> None:
     """Emit one stage attempt's events in canonical order.
 
-    Shared by :func:`_attempt_stage` and the event-driven coordinator,
-    so every backend — including one that gathers results out of order
-    off a selector — produces the same timestamp-free event sequence:
+    Called by :func:`_attempt_stage` after a successful attempt, so
+    every backend produces the same timestamp-free event sequence:
     enqueue, then per task (in task order) send/compute/recv.
     """
     if tracer is None:

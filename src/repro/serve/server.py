@@ -140,12 +140,14 @@ class FrameRecord:
 
     ``frame`` is the submission index; ``status`` is ``"done"``
     (completed, output available), ``"shed"`` (rejected at admission) or
-    ``"failed"`` (admitted but unrecoverable — only possible when a
-    stage lost every device and no replanner could repair it).
+    ``"failed"`` (admitted but unrecoverable — for example a stage lost
+    every device and no replanner could repair it, or, without a
+    :class:`~repro.runtime.faults.RuntimeConfig`, lost any device).
     ``admitted_at`` is when the frame entered the pipeline queue
     (> ``arrival`` only under ``policy="block"`` backpressure).
     ``batch`` is how many frames shared the cross-frame batch this one
-    rode in (1 outside micro-batching).
+    rode in (1 outside micro-batching).  ``error`` says why a failed
+    frame failed (exception type and message).
     """
 
     frame: int
@@ -156,6 +158,7 @@ class FrameRecord:
     plan: str = ""
     replayed: bool = False
     batch: int = 1
+    error: str = ""
 
     @property
     def admitted(self) -> bool:
@@ -259,6 +262,10 @@ class ServeResult:
         if span <= 0:
             return self.throughput
         return (len(done) - warmup) / span
+
+
+def _reason(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 class PipelineServer:
@@ -420,12 +427,15 @@ class PipelineServer:
             last_admit = admit_at
             try:
                 out = session.run_frame(x, at=admit_at)
-            except StageFailure:
+            except StageFailure as exc:
                 # Past the whole ladder (every device of a stage is dead
                 # and no replanner could repair it): the frame is
                 # reported failed, never silently dropped.
                 records.append(
-                    FrameRecord(index, t, "failed", admitted_at=admit_at)
+                    FrameRecord(
+                        index, t, "failed", admitted_at=admit_at,
+                        error=_reason(exc),
+                    )
                 )
                 continue
             done = self.transport.clock()
@@ -497,12 +507,13 @@ class PipelineServer:
                 at = admits[-1]  # filled up: launches on the last admit
             try:
                 outs = session.run_stacked([x for _, x, _ in batch], at=at)
-            except StageFailure:
+            except StageFailure as exc:
                 for (index, _, admit), _a in zip(batch, admits):
                     records.append(
                         FrameRecord(
                             index, arrivals[index], "failed",
                             admitted_at=admit, batch=len(batch),
+                            error=_reason(exc),
                         )
                     )
                 return
@@ -623,8 +634,8 @@ class PipelineServer:
         pending: "Dict[int, Dict]" = {}  # fid -> {arrival, admitted_at, x0}
         outputs: "Dict[int, np.ndarray]" = {}
         done_at: "Dict[int, float]" = {}
-        errors: "Dict[int, BaseException]" = {}
         batch_of: "Dict[int, int]" = {}  # fid -> batch size it rode in
+        errors: "Dict[int, str]" = {}  # fid -> why it failed
 
         def run_one(stage_index, fid, x):
             """One queue item through one stage — ``fid`` is an int for
@@ -640,9 +651,13 @@ class PipelineServer:
                     self.tracer, self.runtime_config,
                 )
             except Exception as exc:  # noqa: BLE001 - fate recorded
+                # Keep the reason, not the exception: its traceback would
+                # pin the attempt's received tiles (shm slot views) past
+                # the transport's close.
+                reason = _reason(exc)
                 with lock:
                     for f in fid if isinstance(fid, tuple) else (fid,):
-                        errors[f] = exc
+                        errors[f] = reason
                 return None
 
         def form(in_q: "queue.Queue"):
@@ -773,7 +788,7 @@ class PipelineServer:
             t.join()
         collector.join()
 
-        replayed = self._replay_failed(pending, outputs, done_at, errors)
+        replayed = self._replay_failed(pending, outputs, done_at)
         records: "List[FrameRecord]" = []
         for index, arrival_t in shed:
             records.append(FrameRecord(index, arrival_t, "shed"))
@@ -795,6 +810,7 @@ class PipelineServer:
                         fid, info["arrival"], "failed",
                         admitted_at=info["admitted_at"],
                         batch=batch_of.get(fid, 1),
+                        error=errors.get(fid, ""),
                     )
                 )
         records.sort(key=lambda r: r.frame)
@@ -808,7 +824,6 @@ class PipelineServer:
         pending: "Dict[int, Dict]",
         outputs: "Dict[int, np.ndarray]",
         done_at: "Dict[int, float]",
-        errors: "Dict[int, BaseException]",
     ) -> "set":
         """Drain-time recovery: replay unrecoverable frames on a fresh plan.
 
@@ -849,7 +864,6 @@ class PipelineServer:
                 continue  # stays failed; recorded as such
             outputs[fid] = x
             done_at[fid] = self.transport.clock()
-            errors.pop(fid, None)
             replayed.add(fid)
             if self.tracer is not None:
                 now = self.transport.clock()

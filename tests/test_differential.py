@@ -3,9 +3,10 @@
 The repo's strongest end-to-end guarantee, checked exhaustively: for
 every registered scheme and a small family of architectures, the
 execution backends (in-process threads, virtual-clock simulator, local
-plan executor, and — in its own cells, since it forks real workers —
-the shared-memory transport) produce **bit-identical** feature maps —
-equal to the plain ``Engine.forward_features`` reference — and report
+plan executor, and — in their own cells, since they fork real workers —
+the shared-memory transport and the TCP ``DistributedPipeline``)
+produce **bit-identical** feature maps — equal to the plain
+``Engine.forward_features`` reference — and report
 equivalent canonical traces.  Both frame-at-a-time and with multiple
 frames in flight through the serving layer.
 """
@@ -24,7 +25,7 @@ from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import ShmTransport
+from repro.runtime.coordinator import DistributedPipeline, ShmTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
 from repro.runtime.trace import Tracer, canonical_trace
 from repro.schemes import available_schemes, get_scheme
@@ -77,6 +78,12 @@ def _run_backend(backend, model_key, scheme_name, frame):
         executor = LocalPlanExecutor(_engine(model_key), plan, trace=True)
         out = executor.forward_features(frame)
         return out, canonical_trace(executor.trace)
+    if backend == "distributed":
+        with DistributedPipeline(
+            model, plan, weights=_weights(model_key), trace=True
+        ) as pipe:
+            (out,), _ = pipe.run_batch([frame])
+        return out, canonical_trace(pipe.trace)
     if backend == "inproc":
         transport = InProcTransport(_engine(model_key))
     elif backend == "shm":
@@ -188,8 +195,8 @@ def test_frames_in_flight_matrix(model_key, scheme_name):
     _check_in_flight_cell(model_key, scheme_name)
 
 
-def _check_shm_cell(model_key, scheme_name):
-    """The shared-memory transport against the in-process reference.
+def _check_process_cell(backend, model_key, scheme_name):
+    """A worker-process backend against the in-process reference.
 
     Separate from the main matrix because every cell forks real worker
     processes; the agreement contract is the same — bit-identical
@@ -197,18 +204,24 @@ def _check_shm_cell(model_key, scheme_name):
     """
     frame = _frame(model_key)
     want, want_trace = _run_backend("inproc", model_key, scheme_name, frame)
-    out, trace = _run_backend("shm", model_key, scheme_name, frame)
+    out, trace = _run_backend(backend, model_key, scheme_name, frame)
     assert np.array_equal(out, want), (
-        f"shm diverged from inproc for {scheme_name} on {model_key}"
+        f"{backend} diverged from inproc for {scheme_name} on {model_key}"
     )
     assert trace == want_trace, (
-        f"shm canonical trace differs for {scheme_name} on {model_key}"
+        f"{backend} canonical trace differs for {scheme_name} on {model_key}"
     )
 
 
 @pytest.mark.parametrize("scheme_name", available_schemes())
 def test_single_frame_matrix_shm(scheme_name):
-    _check_shm_cell("toy", scheme_name)
+    _check_process_cell("shm", "toy", scheme_name)
+
+
+@pytest.mark.parametrize("scheme_name", available_schemes())
+def test_single_frame_matrix_distributed(scheme_name):
+    """``DistributedPipeline`` over TCP, driven by the serving layer."""
+    _check_process_cell("distributed", "toy", scheme_name)
 
 
 def test_frames_in_flight_shm():
@@ -238,7 +251,7 @@ def test_frames_in_flight_shm():
 @pytest.mark.parametrize("scheme_name", available_schemes())
 @pytest.mark.parametrize("model_key", ["vggish", "resnetish"])
 def test_single_frame_matrix_shm_large(model_key, scheme_name):
-    _check_shm_cell(model_key, scheme_name)
+    _check_process_cell("shm", model_key, scheme_name)
 
 
 @pytest.mark.slow

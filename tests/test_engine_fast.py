@@ -101,6 +101,31 @@ class TestThreading:
             parallel.set_threads(None)
         np.testing.assert_array_equal(threaded, serial)
 
+    def test_forked_child_gets_a_fresh_pool(self):
+        """Worker processes fork after the parent built its pool; the
+        child must not submit to the parent's (threadless) executor."""
+        import multiprocessing as mp
+        import time
+
+        try:
+            parallel.set_threads(2)
+            # Overlapping work spawns every pool thread in the parent.
+            parallel.run_parallel([lambda: time.sleep(0.05)] * 4)
+            assert len(parallel.get_pool()._threads) == 2
+            child = mp.get_context("fork").Process(
+                target=parallel.run_parallel, args=([lambda: 1, lambda: 2],)
+            )
+            child.start()
+            child.join(timeout=30.0)
+            hung = child.is_alive()
+            if hung:
+                child.terminate()
+                child.join()
+        finally:
+            parallel.set_threads(None)
+        assert not hung
+        assert child.exitcode == 0
+
     def test_serial_fallback_used(self, serial_pool):
         assert parallel.get_pool() is None
         assert parallel.configured_threads() == 1

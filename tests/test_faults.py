@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cluster.device import Cluster, pi_cluster
+from repro.cluster.device import Cluster, heterogeneous_cluster, pi_cluster
 from repro.cluster.simulator import (
     simulate_adaptive as real_simulate_adaptive,
     simulate_plan as real_simulate_plan,
@@ -26,6 +26,7 @@ from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
+from repro.runtime.coordinator import ShmTransport, TcpTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
 from repro.runtime.faults import (
     FaultSchedule,
@@ -42,6 +43,7 @@ from repro.runtime.trace import (
 )
 from repro.schemes import available_schemes, get_scheme
 from repro.schemes.base import PlanningError, weighted_assignments
+from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.local import local_fallback_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
@@ -601,4 +603,37 @@ class TestFaultsUnderLoad:
         for i, want in enumerate(load_baseline):
             assert np.allclose(outs[i], want, atol=1e-4), (
                 f"frame {i} corrupted by shm worker crash"
+            )
+
+
+@pytest.mark.parametrize("backend", [TcpTransport, ShmTransport])
+def test_lost_worker_without_config_fails_frames_never_corrupts(
+    model, weights, net, load_frames, backend,
+):
+    """Without a RuntimeConfig nothing repairs a stage that lost a
+    worker, so every later frame through it must fail — running the
+    survivors alone would stitch a map whose lost strip is unfilled."""
+    cluster = heterogeneous_cluster([1200, 1000, 800, 600])
+    plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, net)
+    victim = plan.stages[0].assignments[1][0].name
+    engine = Engine(model, weights)
+    want = [engine.forward_features(x) for x in load_frames]
+    transport = backend(model, weights, fail_after={victim: 1})
+    server = PipelineServer.from_plan(
+        model, plan, transport,
+        config=ServerConfig(queue_capacity=8, policy="block"),
+    )
+    try:
+        result = server.serve(load_frames)
+    finally:
+        server.close()
+    assert result.failed, "the victim worker never died"
+    assert all("DeviceDead" in r.error for r in result.failed)
+    for record in result.records:
+        assert record.status in ("done", "failed")
+        if record.status == "done":
+            np.testing.assert_allclose(
+                result.outputs[record.frame], want[record.frame],
+                atol=1e-4, rtol=1e-4,
+                err_msg=f"frame {record.frame} came back corrupted",
             )

@@ -71,15 +71,15 @@ class TestPipelinedExecution:
         for out, ref in zip(outs, refs):
             np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
 
-    def test_submit_collect_interleaved(self, model, weights):
+    def test_sequential_batches_on_one_pipeline(self, model, weights):
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
         xs = make_inputs(model, 3)
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(model, plan, weights=weights) as pipe:
             for x, ref in zip(xs, refs):
-                pipe.submit(x)
-                _, out = pipe.collect()
+                (out,), stats = pipe.run_batch([x])
                 np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
+        assert len(stats.latencies) == 3
 
     def test_head_applied(self):
         from repro.models.vgg import vgg16
@@ -99,13 +99,13 @@ class TestPipelinedExecution:
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
         with DistributedPipeline(model, plan, weights=weights) as pipe:
             with pytest.raises(ValueError):
-                pipe.submit(np.zeros((1, 2, 2), dtype=np.float32))
+                pipe.run_batch([np.zeros((1, 2, 2), dtype=np.float32)])
 
-    def test_submit_before_start_rejected(self, model, weights):
+    def test_run_before_start_rejected(self, model, weights):
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
         pipe = DistributedPipeline(model, plan, weights=weights)
         with pytest.raises(RuntimeError):
-            pipe.submit(np.zeros(model.input_shape, dtype=np.float32))
+            pipe.run_batch([np.zeros(model.input_shape, dtype=np.float32)])
 
 
 class TestFailureRecovery:
