@@ -32,7 +32,7 @@ def sweep(mbps_values):
         bound = plan_cost(model, plan, net, CostOptions(shared_medium=True)).period
         sim = repro.simulate(
             model, plan, network=net, arrivals=saturation_arrivals(40),
-            shared_medium=True,
+            topology=repro.Topology.bus(net, contended=True),
         ).steady_state(5)
         measured = 1.0 / sim.throughput
         rows.append((mbps, paper, bound, measured))

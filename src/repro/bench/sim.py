@@ -1,15 +1,12 @@
-"""Scenario-simulator gate: million-request throughput, bit-exactness
-and a flash-crowd churn scenario.
+"""Scenario-simulator gate: million-request throughput and a
+flash-crowd churn scenario.
 
-Three sections land in ``BENCH_sim.json``:
+Two sections land in ``BENCH_sim.json``:
 
 * **throughput** — one million Poisson requests streamed lazily
   through :func:`repro.sim.simulate_scenario` in the constant-memory
   stats mode; the headline figure is simulator **events per second**
   (heap pops of the discrete-event engine).
-* **bit_exact** — the degenerate one-link topology must reproduce the
-  pre-2.0 single-WLAN simulator bit for bit (full ``SimResult``
-  equality), in both the folded and the contended communication mode.
 * **flash_crowd** — an eight-device fleet rides a viral-clip arrival
   spike (:class:`~repro.workload.FlashCrowdProcess`) while a
   correlated churn burst drops two devices mid-crowd and returns them
@@ -40,7 +37,6 @@ from repro.runtime.trace import RECOVERY_KINDS, Tracer
 from repro.schemes.pico import PicoScheme
 from repro.sim import Topology, correlated_churn, simulate_scenario
 from repro.workload import get_arrivals
-from repro.workload.arrivals import poisson_arrivals
 
 __all__ = ["run", "main"]
 
@@ -84,32 +80,6 @@ def _throughput(n_tasks: int, seed: int) -> Dict:
         "sim_makespan_s": float(stats.makespan),
         "avg_latency_s": float(stats.avg_latency),
     }
-
-
-def _bit_exact(seed: int) -> Dict:
-    from repro.cluster.simulator import simulate_plan
-
-    model = _bench_model()
-    cluster = pi_cluster(4, 800)
-    network = NetworkModel.from_mbps(50.0)
-    plan = PicoScheme().plan(model, cluster, network)
-    arrivals = poisson_arrivals(2.0, 60.0, np.random.default_rng(seed))
-    verdicts = {}
-    for contended in (False, True):
-        old = simulate_plan(
-            model, plan, network, arrivals, shared_medium=contended,
-            trace=True, queue_capacity=8,
-        )
-        new = simulate_scenario(
-            model, plan,
-            topology=Topology.bus(network, contended=contended),
-            network=network, arrivals=arrivals, trace=True,
-            queue_capacity=8,
-        )
-        key = "contended" if contended else "folded"
-        verdicts[key] = bool(new == old)
-        print(f"bit_exact[{key}]: {len(arrivals)} arrivals -> {verdicts[key]}")
-    return verdicts
 
 
 def _flash_crowd(seed: int) -> Dict:
@@ -175,7 +145,6 @@ def run(
     if n_tasks is None:
         n_tasks = 50_000 if quick else 1_000_000
     throughput = _throughput(n_tasks, seed)
-    bit_exact = _bit_exact(seed)
     flash = _flash_crowd(seed)
 
     gates = {
@@ -185,8 +154,6 @@ def run(
         f"events_per_s_ge_{int(EVENTS_PER_S_GATE)}": bool(
             throughput["events_per_s"] >= EVENTS_PER_S_GATE
         ),
-        "one_link_bit_exact_folded": bit_exact["folded"],
-        "one_link_bit_exact_contended": bit_exact["contended"],
         "flash_crowd_replans_in_trace": bool(flash["replan_events"] >= 2),
         "flash_crowd_churn_traced": bool(
             flash["device_dead_events"] == 2
@@ -201,7 +168,6 @@ def run(
         "quick": quick,
         "config": {"n_requests": int(n_tasks), "seed": int(seed)},
         "throughput": throughput,
-        "bit_exact": bit_exact,
         "flash_crowd": flash,
         "gates": gates,
         "pass": all(gates.values()),

@@ -1,4 +1,8 @@
-"""Cluster substrate: devices, network, discrete-event simulator, metrics."""
+"""Cluster substrate: devices and utilisation metrics.
+
+The discrete-event simulator lives in :mod:`repro.sim`;
+:class:`SimResult` / :class:`TaskRecord` are re-exported here.
+"""
 
 from repro.cluster.device import (
     Cluster,
@@ -8,12 +12,7 @@ from repro.cluster.device import (
     raspberry_pi,
 )
 from repro.cluster.metrics import DeviceReport, UtilizationTable, utilization_table
-from repro.cluster.simulator import (
-    SimResult,
-    TaskRecord,
-    simulate_adaptive,
-    simulate_plan,
-)
+from repro.sim.result import SimResult, TaskRecord
 
 __all__ = [
     "Cluster",
@@ -25,7 +24,5 @@ __all__ = [
     "heterogeneous_cluster",
     "pi_cluster",
     "raspberry_pi",
-    "simulate_adaptive",
-    "simulate_plan",
     "utilization_table",
 ]

@@ -167,8 +167,9 @@ class FaultSchedule:
                   .delay("pi3", frame=0, seconds=0.2))
 
     and hand it to a fault-aware transport (``InProcTransport(engine,
-    faults=faults)``, ``SimTransport(engine, net, faults=faults)``) or
-    to :func:`repro.simulate`.  The schedule itself is pure data;
+    faults=faults)``, ``SimTransport(engine, net, faults=faults)``).
+    The event simulator (:func:`repro.simulate`) takes crashes only and
+    rejects the frame-level entries.  The schedule itself is pure data;
     :meth:`start` mints the mutable per-run :class:`FaultInjector`, so
     one schedule can drive any number of runs deterministically.
     """

@@ -17,10 +17,9 @@ simulated backends run the very same path, it is bit-exact against
 those too.
 
 :meth:`measure` times each stage over sample frames; the resulting
-per-stage wall-clock services feed straight into
-:func:`repro.cluster.simulator.simulate_plan` via its
-``measured_services`` parameter, replacing the analytic cost model
-with measured numbers.
+per-stage wall-clock services feed straight into :func:`repro.simulate`
+via its ``measured_services`` parameter, replacing the analytic cost
+model with measured numbers.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ class LocalPlanExecutor:
     ) -> "List[float]":
         """Mean wall-clock seconds per stage over the given frames.
 
-        Feed the result to ``simulate_plan(..., measured_services=...)``
+        Feed the result to ``repro.simulate(..., measured_services=...)``
         to drive the event simulator with measured numbers instead of
         the analytic cost model.
         """

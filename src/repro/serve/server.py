@@ -16,17 +16,20 @@ would stall a stage on the send.
 
 Two execution strategies, selected by the transport's clock:
 
-* **wall-clock transports** (:class:`~repro.runtime.core.InProcTransport`,
-  the TCP backend) get one worker thread per stage with single-slot
-  hand-off queues between stages — the frames genuinely overlap, like
-  the TCP coordinator's stage runners, but over any transport.
+* **wall-clock transports** (:class:`~repro.runtime.core.InProcTransport`
+  and the TCP and shared-memory worker backends) get one worker thread
+  per stage with single-slot hand-off queues between stages — the
+  frames genuinely overlap.
 * **virtual-clock transports** (:class:`~repro.runtime.core.SimTransport`)
-  are driven serially in arrival order; the transport's per-stage
-  ``stage_free`` recurrence ``C(n, s) = max(C(n, s-1), C(n-1, s)) + d_s``
-  stamps exactly the timestamps an interleaved execution would produce,
-  and admission decisions replay the same bounded queue analytically —
-  frame ``i``'s fate depends only on earlier frames, which FIFO service
-  has already fixed.
+  are driven serially in arrival order by one analytic replay; the
+  transport's per-stage ``stage_free`` recurrence
+  ``C(n, s) = max(C(n, s-1), C(n-1, s)) + d_s`` stamps exactly the
+  timestamps an interleaved execution would produce, and admission
+  decisions replay the same bounded queue analytically — frame ``i``'s
+  fate depends only on earlier frames, which FIFO service has already
+  fixed.  The event-level model of the same FIFO stages is
+  :func:`repro.sim.simulate_scenario`; the two agree on completions
+  and sheds for per-frame serving.
 
 With ``max_batch > 1`` both paths additionally *micro-batch*: frames
 queued at the pipeline entrance coalesce into a ``(C, B, H, W)``
@@ -35,8 +38,8 @@ cross-frame batch (up to ``max_batch``, holding the window open
 as one unit via :func:`~repro.runtime.core.execute_stage_batch` — one
 batched kernel pass per stage, amortising per-frame dispatch and
 panel-packing overhead.  Batched outputs are bit-identical to the
-per-frame loop, and the virtual server replays the same formation
-policy analytically.
+per-frame loop, and the virtual replay forms batches by the same
+policy; per-frame serving is its ``max_batch=1`` case.
 
 Both paths run the shared :func:`~repro.runtime.core.execute_stage`
 split/compute/stitch, so served outputs stay bit-identical to
@@ -371,9 +374,7 @@ class PipelineServer:
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError("arrivals must be non-decreasing")
         if self.virtual:
-            if self.config.max_batch > 1:
-                return self._serve_virtual_batched(frames, list(arrivals))
-            return self._serve_virtual(frames, list(arrivals))
+            return self._serve_virtual_batched(frames, list(arrivals))
         return self._serve_threaded(frames, list(arrivals))
 
     def _materialise(self, frames) -> "List[np.ndarray]":
@@ -391,71 +392,9 @@ class PipelineServer:
 
     # ------------------------------------------------------------------
     # Virtual-clock strategy: serial execution, analytic interleaving.
-    # ------------------------------------------------------------------
-    def _serve_virtual(
-        self, frames: "List[np.ndarray]", arrivals: "List[float]"
-    ) -> ServeResult:
-        cfg = self.config
-        session = self._session
-        assert session is not None
-        completions: "List[float]" = []  # admitted frames, FIFO order
-        records: "List[FrameRecord]" = []
-        outputs: "Dict[int, np.ndarray]" = {}
-        plan_usage: "Dict[str, int]" = {}
-        last_admit = 0.0
-        for index, (x, t) in enumerate(zip(frames, arrivals)):
-            in_system = [c for c in completions if c > t]
-            depth = len(in_system)
-            self._observe(t, depth)
-            if depth == 0:
-                self._maybe_switch(index)
-            if depth >= cfg.queue_capacity:
-                if cfg.policy == "shed":
-                    records.append(FrameRecord(index, t, "shed"))
-                    continue
-                # Backpressure: wait until the system drains below the
-                # bound — the moment the (depth - capacity + 1)-th
-                # oldest in-flight frame completes.
-                admit_at = sorted(in_system)[depth - cfg.queue_capacity]
-            else:
-                admit_at = t
-            if cfg.max_in_flight is not None and (
-                len(completions) >= cfg.max_in_flight
-            ):
-                admit_at = max(admit_at, completions[-cfg.max_in_flight])
-            admit_at = max(admit_at, last_admit)
-            last_admit = admit_at
-            try:
-                out = session.run_frame(x, at=admit_at)
-            except StageFailure as exc:
-                # Past the whole ladder (every device of a stage is dead
-                # and no replanner could repair it): the frame is
-                # reported failed, never silently dropped.
-                records.append(
-                    FrameRecord(
-                        index, t, "failed", admitted_at=admit_at,
-                        error=_reason(exc),
-                    )
-                )
-                continue
-            done = self.transport.clock()
-            completions.append(done)
-            outputs[index] = out
-            plan_usage[self._plan_name] = plan_usage.get(self._plan_name, 0) + 1
-            records.append(
-                FrameRecord(
-                    index, t, "done", admitted_at=admit_at,
-                    completion=done, plan=self._plan_name,
-                )
-            )
-        makespan = max(completions) if completions else 0.0
-        trace = self.tracer.events if self.tracer is not None else ()
-        return ServeResult(records, outputs, makespan, trace, plan_usage)
-
-    # ------------------------------------------------------------------
-    # Virtual-clock strategy with cross-frame micro-batching: the same
-    # analytic replay, but frames queued at the pipeline entrance
-    # coalesce into batches that traverse the stages as one unit.
+    # Frames queued at the pipeline entrance coalesce into batches that
+    # traverse the stages as one unit; at ``max_batch=1`` every batch is
+    # one frame and ``run_stacked([x])`` is ``run_frame(x)``.
     # ------------------------------------------------------------------
     def _serve_virtual_batched(
         self, frames: "List[np.ndarray]", arrivals: "List[float]"
@@ -483,6 +422,10 @@ class PipelineServer:
         Only when draining requires the forming batch's own members to
         complete — their departure times do not exist until the batch
         runs — is the batch forced to launch first.
+
+        ``max_in_flight`` (only valid at ``max_batch=1``) further holds
+        a frame's admission until the ``max_in_flight``-th latest
+        completion.
         """
         cfg = self.config
         session = self._session
@@ -508,7 +451,7 @@ class PipelineServer:
             try:
                 outs = session.run_stacked([x for _, x, _ in batch], at=at)
             except StageFailure as exc:
-                for (index, _, admit), _a in zip(batch, admits):
+                for index, _, admit in batch:
                     records.append(
                         FrameRecord(
                             index, arrivals[index], "failed",
@@ -577,6 +520,10 @@ class PipelineServer:
                         ]
             else:
                 admit_at = t
+            if cfg.max_in_flight is not None and (
+                len(completions) >= cfg.max_in_flight
+            ):
+                admit_at = max(admit_at, completions[-cfg.max_in_flight])
             admit_at = max(admit_at, last_admit)
             last_admit = admit_at
             if pending and admit_at > launch_time():

@@ -1,26 +1,26 @@
-"""Planet-scale scenario simulation: topologies, workloads, churn.
+"""Cluster simulation: topologies, workloads, churn, one event engine.
 
-The :mod:`repro.cluster.simulator` event loop grew up: this package
-generalises it from "one shared-bandwidth LAN, a list of arrival
-times" to full scenarios —
+The paper's simulated results (Fig. 8 capacity, Fig. 10 latency,
+Table I utilisation) all come from one queueing model: deterministic-
+service FIFO stages priced by the Eq. 9 cost tables.  This package is
+that model's single implementation —
 
 * :mod:`repro.sim.topology` — named :class:`NetworkLink` objects with
   bandwidth / latency / jitter / loss, ``star`` / ``mesh`` /
   ``fat-tree`` builders, shortest-path routing and per-link FIFO
-  contention.  The old single :class:`~repro.cost.comm.NetworkModel`
-  is the degenerate one-link topology (:meth:`Topology.bus`),
-  bit-compatible with the pre-2.0 simulator.
+  contention.  The flat :class:`~repro.cost.comm.NetworkModel` WLAN is
+  the degenerate one-link topology (:meth:`Topology.bus`).
 * :mod:`repro.workload.processes` — lazy :class:`ArrivalProcess`
   generators (diurnal, flash crowd, trace replay, composite) that
   scale to millions of requests without materialising them.
-* :mod:`repro.sim.scenario` — correlated device churn and mobility
-  (devices leaving and joining mid-run), driven through the same
-  replan ladder as the fault-tolerance layer.
-* :mod:`repro.sim.engine` — the shared event loop itself, consumed by
-  both this package and the legacy :func:`simulate_plan` /
-  :func:`simulate_adaptive` adapters.
+* :mod:`repro.sim.scenario` — :func:`simulate_scenario`, the front
+  door: plan, scheme or switcher; device churn and mobility (devices
+  leaving and joining mid-run) and crash-at-frame faults, all
+  re-planned through one replan/degraded ladder.
+* :mod:`repro.sim.engine` — the event loop itself.
 
-:func:`simulate_scenario` is the front door.
+:func:`repro.simulate` is :func:`simulate_scenario` plus the serving
+layer's analytic micro-batching replay (``max_batch > 1``).
 """
 
 from repro.sim.engine import run_scenario

@@ -1,34 +1,33 @@
-"""The shared discrete-event engine behind every cluster simulation.
+"""The discrete-event engine behind every cluster simulation.
 
-This is the 2.0 generalisation of the former
-``repro.cluster.simulator._run_event_loop``: stages are
+:func:`repro.sim.simulate_scenario` is its one caller.  Stages are
 deterministic-service FIFO servers fed by the plan's timing tables
 (:func:`repro.runtime.timing.plan_timing`), tasks flow stage to stage,
 and per-device busy time accrues from each stage's compute share.
-Three things grew:
 
 * **Lazy arrivals** — ``arrivals`` is any (possibly infinite,
   lazily-generated) nondecreasing iterable of submit times; at most
   one pending arrival lives in the event heap, so million-request
   workloads stream through in constant memory.
-* **Per-link network contention** — instead of one boolean WLAN
-  token, each stage may declare :class:`Transmission` objects routed
-  over named :class:`~repro.sim.topology.NetworkLink` sequences; every
-  link keeps its own FIFO, hops are store-and-forward, and compute
-  starts once all of a stage's transfers have landed.  The legacy
-  ``shared_medium=True`` mode is the degenerate single-link case
-  (:func:`token_bus_transmissions`) and the legacy default folds
-  communication into stage service (``transmissions_for=None``) —
-  both bit-compatible with the pre-2.0 loop.
-* **Scenario events** — ``churn`` entries fire an ``on_churn``
-  callback mid-run (device leave/join, mobility); the callback may
-  return a fresh :class:`~repro.runtime.timing.PlanTiming`, adopted at
-  the next service boundary exactly like an adaptive plan switch.
+* **Per-link network contention** — each stage may declare
+  :class:`Transmission` objects routed over named
+  :class:`~repro.sim.topology.NetworkLink` sequences; every link keeps
+  its own FIFO, hops are store-and-forward, and compute starts once
+  all of a stage's transfers have landed.  The contended flat WLAN is
+  the degenerate single-link case (:func:`token_bus_transmissions`),
+  and the default folds communication into stage service
+  (``transmissions_for=None``).
+* **Plan switches** — ``pick_timing`` sees every arrival (with the
+  live task count) and may return a different
+  :class:`~repro.runtime.timing.PlanTiming`: an adaptive switcher's
+  choice, or a re-plan after a crash at that arrival.  ``churn``
+  entries fire an ``on_churn`` callback at their timestamp (device
+  leave/join, mobility) that may do the same.  Either way the new
+  timing is adopted at the next service boundary.
 
 Event ordering is deterministic: the heap key is ``(time, priority,
 sequence)`` with churn < arrivals < everything else at equal
-timestamps, and the sequence number preserving push order — the same
-total order the pre-2.0 loop produced by pushing all arrivals first.
+timestamps, and the sequence number preserving push order.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Transmission", "run_scenario", "token_bus_transmissions"]
 
 #: Heap priorities: churn reshapes the cluster before a same-instant
-#: arrival sees it; arrivals beat completions (the pre-2.0 tie order).
+#: arrival sees it; arrivals beat completions.
 _P_CHURN = 0
 _P_ARRIVAL = 1
 _P_OTHER = 2
@@ -69,7 +68,7 @@ class Transmission:
     """One stage transfer: ``nbytes`` along a route of links.
 
     ``duration`` overrides the per-hop transfer time (used by the
-    legacy shared-medium mode, where the stage's aggregate analytic
+    contended flat WLAN, where the stage's aggregate analytic
     communication time rides one token link).
     """
 
@@ -79,9 +78,9 @@ class Transmission:
 
 
 def token_bus_transmissions(link) -> "Callable":
-    """Per-stage transmissions for the legacy ``shared_medium`` WLAN:
-    every stage's whole communication phase is one fixed-duration
-    transfer over the single ``link`` (the old network token)."""
+    """Per-stage transmissions for the contended flat WLAN: every
+    stage's whole communication phase is one fixed-duration transfer
+    over the single ``link`` (the network token)."""
 
     def for_timing(timing: "PlanTiming"):
         return tuple(

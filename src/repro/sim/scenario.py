@@ -1,31 +1,37 @@
 """Scenario composition: topology × workload × churn → one run.
 
-:func:`simulate_scenario` is the 2.0 front door to the event engine.
-It accepts everything :func:`repro.simulate` does for the plan side —
-a scheme name, a :class:`~repro.schemes.Scheme`, a ready
+:func:`simulate_scenario` is the one front door to the event engine
+(:func:`repro.simulate` delegates to it).  The plan side is a scheme
+name, a :class:`~repro.schemes.Scheme`, a ready
 :class:`~repro.core.plan.PipelinePlan` or an
-:class:`~repro.adaptive.switcher.AdaptiveSwitcher` — and adds the
-scenario dimensions:
+:class:`~repro.adaptive.switcher.AdaptiveSwitcher`; the scenario
+dimensions are
 
 * ``topology`` — a :class:`~repro.sim.topology.Topology`; transfers
   route hop by hop with per-link FIFO contention.  The default
-  :meth:`Topology.bus` reproduces the pre-2.0 single-WLAN simulator
-  bit for bit.
+  :meth:`Topology.bus` is the flat 50 Mbps WLAN with communication
+  folded into stage service.
 * ``arrivals`` — a lazy :class:`~repro.workload.ArrivalProcess` (or a
   plain list of submit times).
 * ``churn`` — :class:`ChurnEvent` entries: devices leave and join
-  mid-run, and each change re-plans the survivors through the same
-  replan/degraded ladder the fault-tolerance layer uses, emitting
-  ``device_dead`` / ``device_join`` / ``replan`` / ``degraded`` trace
-  events.  :func:`correlated_churn` builds the correlated-failure
+  mid-run.  :func:`correlated_churn` builds the correlated-failure
   bursts (a rack power cut, a WiFi segment dropping) that independent
   per-device fault schedules cannot express.
+* ``faults`` — a :class:`~repro.runtime.faults.FaultSchedule` of
+  ``crash(device, at_frame)`` entries, each firing on an arrival
+  count rather than a time.
+
+Churn and crashes re-plan the survivors through one replan/degraded
+ladder — the one the fault-tolerance layer uses — emitting
+``device_dead`` / ``device_join`` / ``replan`` / ``degraded`` trace
+events.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -95,6 +101,172 @@ def _topology_transmissions(topology: Topology, network: NetworkModel):
     return for_timing
 
 
+def _crash_frames(faults) -> "Dict[str, int]":
+    """``device -> first crash frame`` of a :class:`FaultSchedule`.
+
+    Only crashes have an event-level counterpart; delays, drops and
+    flaky links act inside one frame's execution, which the frame-level
+    :class:`~repro.runtime.core.SimTransport` models instead.
+    """
+    if faults is None:
+        return {}
+    if faults.delays or faults.drops or faults.flaky_links:
+        raise ValueError(
+            "the event simulator models crash faults only; run delay, "
+            "drop and flaky_link faults on the frame-level SimTransport "
+            "(e.g. through repro.serve.PipelineServer)"
+        )
+    crash_at: "Dict[str, int]" = {}
+    for c in faults.crashes:
+        crash_at[c.device] = min(
+            c.at_frame, crash_at.get(c.device, c.at_frame)
+        )
+    return crash_at
+
+
+def _plan_side(
+    model, target, cluster, network, options, churn_events, crash_at,
+    measured_services, tracer,
+):
+    """Resolve the plan side into the engine's ``(initial, pick,
+    on_churn)`` hooks.
+
+    A switcher picks its active candidate per arrival.  A scheme or a
+    plan runs one timing table, which crashes and churn swap through a
+    single ladder: the live devices are re-planned with the scheme,
+    falling back to the whole model on the fastest survivor
+    (``degraded``) when the scheme cannot plan them.  A crash fires
+    from the arrival hook, on the ``at_frame``-th arrival; churn fires
+    at its timestamp.
+    """
+    from repro.adaptive.switcher import AdaptiveSwitcher
+    from repro.cluster.device import Cluster
+    from repro.core.plan import PipelinePlan
+    from repro.runtime.faults import StageFailure
+    from repro.schemes import Scheme, get_scheme
+    from repro.schemes.base import PlanningError
+    from repro.schemes.local import local_fallback_plan
+
+    if isinstance(target, str):
+        target = get_scheme(target)
+    if isinstance(target, AdaptiveSwitcher):
+        if churn_events or crash_at or measured_services is not None:
+            raise ValueError(
+                "churn=, faults= and measured_services= need a scheme "
+                "(or a plan), not an AdaptiveSwitcher replay"
+            )
+        timings = target.plan_timings(model, network, options)
+
+        def pick_active(now: float, depth: int) -> PlanTiming:
+            return timings[target.on_arrival(now, queue_depth=depth).name]
+
+        return timings[target.active.name], pick_active, None
+    if isinstance(target, Scheme):
+        if cluster is None:
+            raise ValueError("a scheme needs cluster= to plan over")
+    elif not isinstance(target, PipelinePlan):
+        raise TypeError(
+            "plan_or_scheme must be a PipelinePlan, Scheme, scheme name "
+            f"or AdaptiveSwitcher, not {type(target).__name__}"
+        )
+    elif churn_events or crash_at:
+        raise ValueError(
+            "simulating churn or crashes needs a scheme (or scheme name) "
+            "to re-plan the survivors — a bare plan cannot be rebuilt"
+        )
+
+    # -- initial live set (devices joining later start outside) -------
+    names = {d.name for d in cluster} if cluster is not None else set()
+    live = set(names)
+    if churn_events or crash_at:
+        named = {e.device for e in churn_events} | set(crash_at)
+        unknown = sorted(named - names)
+        if unknown:
+            raise ValueError(
+                f"churn or faults name devices not in the cluster: "
+                f"{', '.join(unknown)}"
+            )
+        first_kind: "Dict[str, str]" = {}
+        for event in sorted(churn_events, key=lambda e: e.time):
+            first_kind.setdefault(event.device, event.kind)
+        live = {name for name in names if first_kind.get(name) != "join"}
+        if not live:
+            raise ValueError("every device joins mid-run; none left to plan")
+
+    if isinstance(target, Scheme):
+        members = tuple(d for d in cluster if d.name in live)
+        plan = target.plan(model, Cluster(members), network, options)
+        base_name = target.name
+    else:
+        plan = target
+        base_name = plan.mode
+    current = plan_timing(
+        model, plan, network, options, name=base_name,
+        measured_services=measured_services,
+    )
+
+    def emit(kind: str, frame: int, device: str, now: float) -> None:
+        if tracer is not None:
+            tracer.emit(TraceEvent(kind, frame, 0, device, now, now))
+
+    def replan(now: float, frame: int) -> PlanTiming:
+        nonlocal current
+        survivors = tuple(d for d in cluster if d.name in live)
+        if not survivors:
+            raise StageFailure("every device in the cluster is dead")
+        try:
+            fresh = target.plan(model, Cluster(survivors), network, options)
+            kind = "replan"
+        except PlanningError:
+            best = max(survivors, key=lambda d: d.capacity)
+            fresh = local_fallback_plan(model, best)
+            kind = "degraded"
+        current = plan_timing(
+            model, fresh, network, options, name=f"{base_name}+{kind}"
+        )
+        emit(kind, frame, ",".join(sorted(names - live)), now)
+        return current
+
+    crashed: "Set[str]" = set()  # a crash is permanent: no rejoin
+
+    def on_churn(now: float, event: ChurnEvent) -> Optional[PlanTiming]:
+        leaving = event.kind == "leave"
+        if leaving != (event.device in live) or event.device in crashed:
+            return None  # already gone / already present / crashed
+        if leaving:
+            live.discard(event.device)
+        else:
+            live.add(event.device)
+        kind = "device_dead" if leaving else "device_join"
+        emit(kind, -1, event.device, now)
+        return replan(now, -1)
+
+    arrived = itertools.count()
+
+    def pick_crashing(now: float, depth: int) -> PlanTiming:
+        index = next(arrived)
+        due = sorted(d for d, at in crash_at.items() if index >= at)
+        for device in due:
+            del crash_at[device]
+        crashed.update(due)
+        dying = [d for d in due if d in live]
+        if not dying:
+            return current
+        for device in dying:
+            live.discard(device)
+            emit("device_dead", index, device, now)
+        return replan(now, index)
+
+    def pick_current(now: float, depth: int) -> PlanTiming:
+        return current
+
+    return (
+        current,
+        pick_crashing if crash_at else pick_current,
+        on_churn if churn_events else None,
+    )
+
+
 def simulate_scenario(
     model,
     plan_or_scheme,
@@ -105,6 +277,8 @@ def simulate_scenario(
     arrivals=None,
     options: Optional[CostOptions] = None,
     churn: "Sequence[ChurnEvent]" = (),
+    faults=None,
+    measured_services: "Optional[Sequence[float]]" = None,
     trace=None,
     queue_capacity: Optional[int] = None,
     seed: int = 0,
@@ -121,19 +295,26 @@ def simulate_scenario(
     :class:`~repro.sim.result.SimStats` instead of a full
     :class:`~repro.sim.result.SimResult` — the million-request mode.
 
-    Churn needs a scheme (or scheme name) plus ``cluster`` so the
-    survivors can be re-planned; a device whose first churn event is a
-    ``join`` starts outside the cluster and enters mid-run (mobility).
+    Churn and crashes need a scheme (or scheme name) plus ``cluster``
+    so the survivors can be re-planned; a device whose first churn
+    event is a ``join`` starts outside the cluster and enters mid-run
+    (mobility).  ``faults`` is a
+    :class:`~repro.runtime.faults.FaultSchedule` of crashes: each
+    ``crash(device, at_frame)`` kills its device for good on the
+    ``at_frame``-th arrival (counted from 0, shed arrivals included; a
+    later churn ``join`` of it is ignored), so it fires at a frame even
+    when arrivals share a timestamp.  ``measured_services``
+    replaces the initial plan's analytic per-stage service times with
+    measured ones (one entry per stage, seconds — see
+    :meth:`repro.schemes.local.LocalPlanExecutor.measure`).
     """
-    from repro.adaptive.switcher import AdaptiveSwitcher
-    from repro.schemes import Scheme, get_scheme
-
     tracer = coerce_tracer(trace)
     if topology is None:
         topology = Topology.bus(network or wifi_50mbps())
     network = network or topology.as_network_model()
     options = options or DEFAULT_OPTIONS
     churn_events = tuple(churn)
+    crash_at = _crash_frames(faults)
 
     if arrivals is None:
         raise ValueError(
@@ -157,122 +338,17 @@ def simulate_scenario(
         np.random.default_rng(seed + 1) if sample_network else None
     )
 
-    # -- resolve the plan side ----------------------------------------
-    scheme = None
-    if isinstance(plan_or_scheme, str):
-        plan_or_scheme = get_scheme(plan_or_scheme)
-    if isinstance(plan_or_scheme, AdaptiveSwitcher):
-        if churn_events:
-            raise ValueError(
-                "churn= is not supported with an AdaptiveSwitcher replay; "
-                "pass a scheme so the survivors can be re-planned"
-            )
-        switcher = plan_or_scheme
-        timings = switcher.plan_timings(model, network, options)
-        initial = timings[switcher.active.name]
-
-        def pick(now: float, depth: int) -> PlanTiming:
-            active = switcher.on_arrival(now, queue_depth=depth)
-            return timings[active.name]
-
-        return run_scenario(
-            arrival_iter, initial, pick,
-            transmissions_for=transmissions_for, tracer=tracer,
-            queue_capacity=queue_capacity, rng=link_rng,
-            keep_records=keep_records,
-        )
-    if isinstance(plan_or_scheme, Scheme):
-        scheme = plan_or_scheme
-        if cluster is None:
-            raise ValueError("a scheme needs cluster= to plan over")
-    if scheme is None and churn_events:
-        raise ValueError(
-            "simulating churn needs a scheme (or scheme name) to re-plan "
-            "the survivors — a bare plan cannot be rebuilt"
-        )
-
-    # -- initial live set (devices joining later start outside) -------
-    if churn_events and cluster is not None:
-        names = {d.name for d in cluster}
-        unknown = sorted(
-            {e.device for e in churn_events} - names
-        )
-        if unknown:
-            raise ValueError(
-                f"churn names devices not in the cluster: "
-                f"{', '.join(unknown)}"
-            )
-        first_kind: "Dict[str, str]" = {}
-        for event in sorted(churn_events, key=lambda e: e.time):
-            first_kind.setdefault(event.device, event.kind)
-        live = {
-            name for name in names
-            if first_kind.get(name, "leave") != "join"
-        }
-        if not live:
-            raise ValueError("every device joins mid-run; none left to plan")
-    else:
-        live = {d.name for d in cluster} if cluster is not None else set()
-
-    if scheme is not None:
-        from repro.cluster.device import Cluster
-
-        members = tuple(d for d in cluster if d.name in live)
-        plan = scheme.plan(model, Cluster(members), network, options)
-        base_name = scheme.name
-    else:
-        plan = plan_or_scheme
-        base_name = plan.mode
-    timing = plan_timing(model, plan, network, options, name=base_name)
-    state = {"timing": timing}
-
-    def on_churn(now: float, event: ChurnEvent) -> Optional[PlanTiming]:
-        from repro.cluster.device import Cluster
-        from repro.runtime.faults import StageFailure
-        from repro.schemes.base import PlanningError
-        from repro.schemes.local import local_fallback_plan
-
-        if event.kind == "leave":
-            if event.device not in live:
-                return None
-            live.discard(event.device)
-            if tracer is not None:
-                tracer.emit(
-                    TraceEvent("device_dead", -1, 0, event.device, now, now)
-                )
-        else:
-            if event.device in live:
-                return None
-            live.add(event.device)
-            if tracer is not None:
-                tracer.emit(
-                    TraceEvent("device_join", -1, 0, event.device, now, now)
-                )
-        survivors = tuple(d for d in cluster if d.name in live)
-        if not survivors:
-            raise StageFailure("every device in the cluster is dead")
-        try:
-            fresh = scheme.plan(model, Cluster(survivors), network, options)
-            kind = "replan"
-        except PlanningError:
-            best = max(survivors, key=lambda d: d.capacity)
-            fresh = local_fallback_plan(model, best)
-            kind = "degraded"
-        state["timing"] = plan_timing(
-            model, fresh, network, options, name=f"{base_name}+{kind}"
-        )
-        if tracer is not None:
-            dead = ",".join(sorted({d.name for d in cluster} - live))
-            tracer.emit(TraceEvent(kind, -1, 0, dead, now, now))
-        return state["timing"]
-
+    initial, pick, on_churn = _plan_side(
+        model, plan_or_scheme, cluster, network, options, churn_events,
+        crash_at, measured_services, tracer,
+    )
     return run_scenario(
         arrival_iter,
-        timing,
-        lambda now, depth: state["timing"],
+        initial,
+        pick,
         transmissions_for=transmissions_for,
         churn=[(e.time, e) for e in churn_events],
-        on_churn=on_churn if churn_events else None,
+        on_churn=on_churn,
         tracer=tracer,
         queue_capacity=queue_capacity,
         rng=link_rng,

@@ -1,6 +1,6 @@
 """Network topologies: named links, builders and shortest-path routing.
 
-The paper (and the pre-2.0 simulator) models one shared-bandwidth WLAN.
+The paper models one shared-bandwidth WLAN.
 Real edge deployments are multi-hop: devices hang off heterogeneous
 access links, traffic crosses switches, and link-level bandwidth
 asymmetry — not just device heterogeneity — dominates placement quality
@@ -13,9 +13,9 @@ overlap and nowhere else.
 
 The degenerate case is :meth:`Topology.bus`: every pair of nodes
 shares one link backed by a plain :class:`~repro.cost.comm.NetworkModel`
-— that is the pre-2.0 simulator, bit for bit (uncontended folds
-communication into stage service; ``contended=True`` is the old
-``shared_medium=True`` single-token WLAN).
+— the flat single-WLAN model: uncontended folds communication into
+stage service, ``contended=True`` serialises every stage's transfers
+over the one shared medium (one network token).
 """
 
 from __future__ import annotations
@@ -268,13 +268,12 @@ class Topology:
         contended: bool = False,
         name: str = "wlan",
     ) -> "Topology":
-        """The degenerate one-link topology: the pre-2.0 simulator.
+        """The degenerate one-link topology: the flat WLAN.
 
         Every node implicitly sits on the single shared link.
         ``contended=False`` folds communication into stage service
-        (the old default); ``contended=True`` serialises all stages'
-        transfers over the one link (the old ``shared_medium=True``).
-        Both are bit-compatible with the legacy event loop.
+        (the simulator's default); ``contended=True`` serialises all
+        stages' transfers over the one link.
         """
         network = network or wifi_50mbps()
         topo = cls(name=name)

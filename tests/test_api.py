@@ -78,10 +78,10 @@ class TestSimulateBatched:
         model, cluster = self._setup()
         from repro.runtime.core import FaultSchedule
 
-        with pytest.raises(ValueError, match="shared_medium"):
+        with pytest.raises(ValueError, match="topology"):
             repro.simulate(
                 model, "pico", cluster, arrivals=[0.0], max_batch=2,
-                shared_medium=True,
+                topology=repro.Topology.bus(contended=True),
             )
         with pytest.raises(ValueError, match="faults"):
             repro.simulate(

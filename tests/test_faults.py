@@ -11,17 +11,12 @@ bit-equal.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
 from repro.cluster.device import Cluster, heterogeneous_cluster, pi_cluster
-from repro.cluster.simulator import (
-    simulate_adaptive as real_simulate_adaptive,
-    simulate_plan as real_simulate_plan,
-)
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
@@ -393,6 +388,12 @@ class TestSimulateDispatch:
                 model, switcher, cluster, network=net,
                 arrivals=self.ARRIVALS, faults=faults,
             )
+        # One plan's measured services cannot time several candidates.
+        with pytest.raises(ValueError, match="measured_services"):
+            repro.simulate(
+                model, switcher, cluster, network=net,
+                arrivals=self.ARRIVALS, measured_services=[0.1],
+            )
 
     def test_rejects_unknown_target(self, model, cluster):
         with pytest.raises(TypeError):
@@ -413,31 +414,22 @@ class TestSimulateDispatch:
 
 
 class TestShimsRemoved:
-    """The 1.x ``simulate_plan``/``simulate_adaptive`` deprecation
-    shims were removed in 2.0 (use :func:`repro.simulate`); the
-    module-level originals in :mod:`repro.cluster.simulator` remain
-    the internal API."""
-
-    ARRIVALS = (0.0, 0.05, 0.1)
+    """``simulate_plan``/``simulate_adaptive`` are gone: the package
+    front door is :func:`repro.simulate` and the module-level one is
+    :func:`repro.sim.simulate_scenario`."""
 
     def test_shims_gone_from_package(self):
-        assert not hasattr(repro, "simulate_plan")
-        assert not hasattr(repro, "simulate_adaptive")
-        assert "simulate_plan" not in repro.__all__
-        assert "simulate_adaptive" not in repro.__all__
+        import importlib
 
-    def test_simulate_matches_module_function(self, model, plan, net):
-        unified = repro.simulate(
-            model, plan, network=net, arrivals=self.ARRIVALS
-        )
-        real = real_simulate_plan(model, plan, net, self.ARRIVALS)
-        assert unified.makespan == pytest.approx(real.makespan)
+        import repro.cluster
 
-    def test_module_functions_do_not_warn(self, model, plan, net):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            real_simulate_plan(model, plan, net, self.ARRIVALS)
-            real_simulate_adaptive  # still importable internal API
+        for namespace in (repro, repro.cluster):
+            assert not hasattr(namespace, "simulate_plan")
+            assert not hasattr(namespace, "simulate_adaptive")
+            assert "simulate_plan" not in namespace.__all__
+            assert "simulate_adaptive" not in namespace.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.cluster.simulator")
 
 
 class TestCoerceTracer:

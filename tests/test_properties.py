@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.cluster.device import Device
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
 from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.cost.comm import NetworkModel
@@ -157,7 +157,10 @@ class TestPlanProperties:
         """Every arrival completes; latencies are at least the plan
         latency; completions are FIFO."""
         cost = plan_cost(MODEL, plan, NET)
-        sim = simulate_plan(MODEL, plan, NET, [0.1 * i for i in range(n_tasks)])
+        sim = repro.simulate(
+            MODEL, plan, network=NET,
+            arrivals=[0.1 * i for i in range(n_tasks)],
+        )
         assert sim.completed == n_tasks
         for record in sim.tasks:
             assert record.latency >= cost.latency - 1e-9

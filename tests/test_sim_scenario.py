@@ -1,23 +1,27 @@
-"""Tests for the 2.0 scenario simulator.
+"""Tests for the scenario simulator.
 
 The load-bearing guarantee: the degenerate one-link topology
-reproduces the pre-2.0 single-WLAN simulator **bit for bit** — full
-``SimResult`` equality including traces, shed lists and device-busy
-totals — across schemes, both communication modes and admission
-control.  On top of that: churn replanning, mobility joins, multi-hop
-behaviour and the constant-memory stats mode.
+reproduces the single-WLAN simulator that preceded the topology engine
+**bit for bit** — full ``SimResult`` equality including traces, shed
+lists and device-busy totals, checked against recorded digests —
+across schemes, both communication modes and admission control.  On
+top of that: churn replanning, crash-at-frame faults, mobility joins,
+multi-hop behaviour and the constant-memory stats mode.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.adaptive.switcher import build_apico_switcher
 from repro.cluster.device import pi_cluster
-from repro.cluster.simulator import simulate_adaptive, simulate_plan
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.runtime.faults import FaultSchedule
 from repro.runtime.trace import Tracer
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
@@ -52,8 +56,33 @@ def arrivals_list(rate=2.0, horizon=20.0, seed=5):
     return poisson_arrivals(rate, horizon, np.random.default_rng(seed))
 
 
+#: sha256 (first 16 hex digits) of ``repr(SimResult)`` for each grid
+#: case, recorded from the single-WLAN event loop that preceded the
+#: topology engine (``simulate_plan(..., shared_medium=contended)``) on
+#: the same inputs.  Keyed ``(queue_capacity, contended, scheme)``.
+_RECORDED_PLAN_REPLAYS = {
+    (None, False, "PicoScheme"): "028dcafa2010ca70",
+    (None, False, "EarlyFusedScheme"): "0f2f4ed46d1661bc",
+    (None, True, "PicoScheme"): "1893b613a7d266ff",
+    (None, True, "EarlyFusedScheme"): "c40f2b433dfc2cc6",
+    (3, False, "PicoScheme"): "028dcafa2010ca70",
+    (3, False, "EarlyFusedScheme"): "0f2f4ed46d1661bc",
+    (3, True, "PicoScheme"): "1893b613a7d266ff",
+    (3, True, "EarlyFusedScheme"): "c40f2b433dfc2cc6",
+}
+#: The same record for the APICO switcher replay at rate 4.
+_RECORDED_ADAPTIVE_REPLAY = "311da2b792781f77"
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
+
+
 class TestOneLinkDifferential:
-    """The degenerate topology IS the old simulator, bit for bit."""
+    """The degenerate one-link topology reproduces the single-WLAN
+    simulator bit for bit: full ``SimResult`` equality, trace, shed
+    list and device-busy totals included, checked against digests
+    recorded from that simulator."""
 
     @pytest.mark.parametrize("scheme_cls", [PicoScheme, EarlyFusedScheme])
     @pytest.mark.parametrize("contended", [False, True])
@@ -62,40 +91,31 @@ class TestOneLinkDifferential:
         self, model, cluster, net, scheme_cls, contended, queue_capacity
     ):
         plan = scheme_cls().plan(model, cluster, net)
-        arrivals = arrivals_list()
-        old = simulate_plan(
-            model, plan, net, arrivals, shared_medium=contended,
-            trace=True, queue_capacity=queue_capacity,
-        )
-        new = simulate_scenario(
-            model, plan,
-            topology=Topology.bus(net, contended=contended),
-            network=net, arrivals=arrivals, trace=True,
+        result = repro.simulate(
+            model, plan, network=net, arrivals=arrivals_list(),
+            topology=Topology.bus(net, contended=contended), trace=True,
             queue_capacity=queue_capacity,
         )
-        assert isinstance(new, SimResult)
-        assert new == old  # full dataclass equality, trace included
+        assert isinstance(result, SimResult)
+        key = (queue_capacity, contended, scheme_cls.__name__)
+        assert _digest(result) == _RECORDED_PLAN_REPLAYS[key]
 
     def test_adaptive_replay_is_bit_identical(self, model, cluster, net):
-        arrivals = arrivals_list(rate=4.0)
-        old = simulate_adaptive(
-            model, build_apico_switcher(model, cluster, net), net, arrivals
+        result = repro.simulate(
+            model, build_apico_switcher(model, cluster, net), network=net,
+            arrivals=arrivals_list(rate=4.0), trace=True,
         )
-        new = simulate_scenario(
-            model, build_apico_switcher(model, cluster, net),
-            topology=Topology.bus(net), network=net, arrivals=arrivals,
-        )
-        assert new == old
+        assert _digest(result) == _RECORDED_ADAPTIVE_REPLAY
 
     def test_lazy_process_matches_materialised_list(self, model, cluster, net):
         plan = PicoScheme().plan(model, cluster, net)
         legacy = poisson_arrivals(2.0, 20.0, np.random.default_rng(7))
-        old = simulate_plan(model, plan, net, legacy)
-        new = simulate_scenario(
+        listed = repro.simulate(model, plan, network=net, arrivals=legacy)
+        lazy = simulate_scenario(
             model, plan, topology=Topology.bus(net), network=net,
             arrivals=PoissonProcess(2.0, horizon_s=20.0), seed=7,
         )
-        assert new == old
+        assert lazy == listed
 
 
 class TestChurn:
@@ -162,6 +182,74 @@ class TestChurn:
             correlated_churn([], at=1.0)
         events = correlated_churn(["a", "b"], at=2.0, stagger_s=1.0)
         assert [e.time for e in events] == [2.0, 3.0]
+
+
+class TestFrameCrashes:
+    """``faults=`` crashes fire on an arrival count, through the same
+    replan ladder as churn."""
+
+    def test_burst_crash_fires_at_its_arrival(self, model, cluster, net):
+        # Every arrival shares t=0, so only the arrival count can place
+        # the crash; it must land on arrival 4, not at "time 0".
+        result = repro.simulate(
+            model, "pico", cluster, network=net, arrivals=[0.0] * 10,
+            faults=FaultSchedule().crash("pi3", at_frame=4), trace=True,
+        )
+        dead = [e for e in result.trace if e.kind == "device_dead"]
+        assert [(e.frame, e.device) for e in dead] == [(4, "pi3")]
+        replans = [e for e in result.trace if e.kind in ("replan", "degraded")]
+        assert [e.frame for e in replans] == [4]
+        assert result.completed == 10
+
+    def test_crash_composes_with_a_star_topology(self, model, cluster, net):
+        names = [d.name for d in cluster]
+        result = repro.simulate(
+            model, "pico", cluster,
+            topology=Topology.star(names, mbps=50.0, latency_s=0.0005),
+            arrivals=arrivals_list(rate=1.0, horizon=10.0),
+            faults=FaultSchedule().crash("pi1", at_frame=2), trace=True,
+        )
+        assert result.completed == result.submitted > 2
+        kinds = [e.kind for e in result.trace]
+        assert kinds.count("device_dead") == 1
+        assert "replan" in kinds
+
+    def test_crash_and_churn_share_one_live_set(self, model, cluster, net):
+        # pi2 leaves at t=1 via churn; its crash on arrival 5 (t=2.5)
+        # finds it gone and must not kill it twice or re-plan again, and
+        # a crash is permanent, so the rejoin at t=3 is ignored.
+        tracer = Tracer()
+        result = simulate_scenario(
+            model, PicoScheme(), cluster, network=net,
+            arrivals=[0.5 * i for i in range(8)],
+            churn=[ChurnEvent(1.0, "pi2", "leave"),
+                   ChurnEvent(3.0, "pi2", "join")],
+            faults=FaultSchedule().crash("pi2", at_frame=5), trace=tracer,
+        )
+        kinds = [e.kind for e in tracer.events if e.kind != "compute"
+                 and e.kind != "enqueue"]
+        assert kinds == ["device_dead", "replan"]
+        assert result.completed == 8
+
+    def test_unknown_crash_device_rejected(self, model, cluster, net):
+        with pytest.raises(ValueError, match="not in the cluster: nosuch"):
+            repro.simulate(
+                model, "pico", cluster, network=net, arrivals=[0.0] * 4,
+                faults=FaultSchedule().crash("nosuch", at_frame=2),
+            )
+
+    @pytest.mark.parametrize("faults", [
+        FaultSchedule().delay("pi0", frame=1, seconds=0.5),
+        FaultSchedule().drop("pi0", frame=1),
+        FaultSchedule().flaky_link("pi0", frame=1),
+        FaultSchedule().crash("pi0", at_frame=1).drop("pi1", frame=0),
+    ], ids=["delay", "drop", "flaky_link", "crash+drop"])
+    def test_frame_level_faults_rejected(self, model, cluster, net, faults):
+        with pytest.raises(ValueError, match="SimTransport"):
+            repro.simulate(
+                model, "pico", cluster, network=net, arrivals=[0.0] * 4,
+                faults=faults,
+            )
 
 
 class TestMultiHop:
